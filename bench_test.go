@@ -631,6 +631,9 @@ func BenchmarkSSSPLarge(b *testing.B) {
 			for i := range w {
 				w[i] = 1
 			}
+			// Declare the minimum weight as the oracle does, so the heap
+			// variant finalises pendant hosts on offer.
+			scr.SetMinWeight(1)
 			src := c.ToHot(top.Hosts[0])
 			b.Run("heap", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

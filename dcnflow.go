@@ -103,9 +103,6 @@
 //     iterations (default 60) and the relative duality-gap stop (default
 //     1e-3): Tol trades lower-bound tightness for time, with the residual
 //     gap reported per solve.
-//   - SolverOptions.ClosedFormStep swaps the bisection line search for an
-//     analytic step on exactly-quadratic costs (alpha == 2); faster, but
-//     trajectories are no longer bit-identical to the default.
 //   - DCFSROptions.WarmStart seeds Frank–Wolfe solves from earlier
 //     decompositions. Off by default: on the paper's evaluation workloads
 //     the hop-count cold start converges in fewer iterations and keeps

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 )
 
@@ -46,6 +47,19 @@ type CSR struct {
 	// interleaved (eid, to) pair array.
 	slotEid []int32
 	slotTo  []int32
+
+	// SlotOf is the inverse of AdjEdge: SlotOf[e] is the slot carrying
+	// (original) edge e, so edge-indexed updates can write slot-ordered
+	// weight buffers directly.
+	SlotOf []int32
+
+	// pendant[v] marks a node with exactly one out-slot and one in-slot
+	// that are reverses of each other (a leaf host on its access link).
+	// Tree finalises such a node on its single offer instead of queueing
+	// it; see Tree for why that is exact. hasPendant is false when no node
+	// qualifies (BCube-style multi-homed hosts).
+	pendant    []bool
+	hasPendant bool
 }
 
 // NumNodes returns the number of nodes of the underlying graph.
@@ -100,7 +114,41 @@ func buildCSR(g *Graph) *CSR {
 		}
 	}
 	c.Start[n] = int32(len(c.AdjEdge))
+	c.indexSlots()
 	return c
+}
+
+// indexSlots derives SlotOf and the pendant flags from the slot arrays;
+// both view builders call it once the rows are laid out.
+func (c *CSR) indexSlots() {
+	n := c.NumNodes()
+	c.SlotOf = make([]int32, len(c.slotEid))
+	for i, e := range c.slotEid {
+		c.SlotOf[e] = int32(i)
+	}
+	// in[v] is u+1 when v's only in-slot comes from u, -1 when v has
+	// several, 0 when none.
+	in := make([]int32, n)
+	for u := 0; u < n; u++ {
+		for _, v := range c.slotTo[c.Start[u]:c.Start[u+1]] {
+			if in[v] == 0 {
+				in[v] = int32(u) + 1
+			} else {
+				in[v] = -1
+			}
+		}
+	}
+	c.pendant = make([]bool, n)
+	for p := 0; p < n; p++ {
+		if c.Start[p+1]-c.Start[p] != 1 {
+			continue
+		}
+		q := c.slotTo[c.Start[p]]
+		if int(q) != p && in[p] == q+1 {
+			c.pendant[p] = true
+			c.hasPendant = true
+		}
+	}
 }
 
 // unreachedPred marks a node with no predecessor edge in an SSSP tree.
@@ -120,6 +168,13 @@ type SSSPScratch struct {
 
 	wSlot []float64 // active slot-ordered weights (own, or shared — see ShareWeightsFrom)
 	own   []float64 // the scratch's private weight buffer
+	// wmin is a lower bound on every active slot weight, declared by the
+	// weight loader (SetWeights, SetMinWeight, ShareWeightsFrom); 0 means
+	// unknown. Tree's pendant finalisation is certified against it.
+	wmin float64
+	// restarts counts Tree calls whose certificate failed and that reran
+	// as the exact full-queue traversal (observed by tests).
+	restarts int
 
 	node      []nodeState // per-node label: one bounds check, 4 labels per cache line
 	epoch     uint32
@@ -194,30 +249,45 @@ func NewSSSPScratch(c *CSR) *SSSPScratch {
 // shared storage, so sharers must treat the weights as frozen. Call
 // UnshareWeights (done automatically by Compiled.ReleaseScratch) before
 // the scratch is reused independently.
+//
+// The sharer also takes src's declared minimum weight (see SetMinWeight) as
+// of the call, so a sweep shares the weights once they are final.
 func (s *SSSPScratch) ShareWeightsFrom(src *SSSPScratch) {
 	if src != nil && src.csr == s.csr {
 		s.wSlot = src.wSlot
+		s.wmin = src.wmin
 	}
 }
 
 // UnshareWeights restores the scratch's private weight buffer after a
-// ShareWeightsFrom, severing any aliasing with other scratches.
-func (s *SSSPScratch) UnshareWeights() { s.wSlot = s.own }
+// ShareWeightsFrom, severing any aliasing with other scratches. The
+// declared minimum weight is forgotten with the alias.
+func (s *SSSPScratch) UnshareWeights() {
+	s.wSlot = s.own
+	s.wmin = 0
+}
 
 // SetWeights loads the edge-indexed weights w (len NumEdges) into the
 // scratch's slot-ordered buffer so the Dijkstra inner loop reads weights
 // sequentially, and validates them: weights must be nonnegative.
 // Validating here keeps the per-relaxation step branch-free. Weights are
-// always indexed by original edge id, on renumbered views too.
+// always indexed by original edge id, on renumbered views too. The same
+// pass records the minimum weight Tree certifies against.
 func (s *SSSPScratch) SetWeights(w []float64) error {
 	eids := s.csr.slotEid
+	wmin := math.Inf(1)
 	for i := range eids {
 		wt := w[eids[i]]
 		if wt < 0 {
+			s.wmin = 0
 			return fmt.Errorf("graph: negative weight %v on edge %d", wt, eids[i])
+		}
+		if wt < wmin || wt != wt {
+			wmin = wt // a NaN sticks: it fails every later comparison
 		}
 		s.wSlot[i] = wt
 	}
+	s.SetMinWeight(wmin)
 	return nil
 }
 
@@ -225,7 +295,23 @@ func (s *SSSPScratch) SetWeights(w []float64) error {
 // that can compute weights directly in slot order (slot i corresponds to
 // edge CSR.AdjEdge[i]), skipping SetWeights' gather pass. The caller must
 // fill every entry with a nonnegative value before the next Tree call.
-func (s *SSSPScratch) SlotWeights() []float64 { return s.wSlot }
+// Handing out the buffer forgets the declared minimum weight, so Tree runs
+// its exact full-queue traversal until SetMinWeight declares a new one.
+func (s *SSSPScratch) SlotWeights() []float64 {
+	s.wmin = 0
+	return s.wSlot
+}
+
+// SetMinWeight declares wmin as a lower bound on every slot weight written
+// through SlotWeights. Tree uses it to certify pendant finalisation (see
+// Tree); a bound above the true minimum voids Tree's exactness, while 0, a
+// negative value or NaN turns pendant finalisation off.
+func (s *SSSPScratch) SetMinWeight(wmin float64) {
+	if !(wmin > 0) {
+		wmin = 0
+	}
+	s.wmin = wmin
+}
 
 // beginEpoch advances the stamp epoch for one Tree/TreeDial call and
 // returns it, clearing all labels on the (rare) 2^32 wrap, and stamps the
@@ -271,12 +357,31 @@ func (s *SSSPScratch) beginEpoch(dsts []NodeID) (ep uint32, remaining int) {
 // allocation. The sift code preserves the exact comparison sequence of the
 // historical swap-based heap, keeping pop order among equal keys — and
 // with it every deterministic tie-break downstream — unchanged.
+//
+// Pendant finalisation. A pendant node (one out-slot, one in-slot, each
+// the reverse of the other: a leaf host) receives exactly one offer, from
+// its only neighbour, and its own relaxation leads straight back to that
+// finalised neighbour and so never changes anything. Tree therefore labels
+// and finalises a pendant on that offer instead of queueing it, which
+// keeps a fabric's leaf hosts out of the heap. Finalising early changes
+// only the heap's layout, which is unobservable whenever equal-key pop
+// order is: when every relaxation strictly increases the distance, all
+// labels of one key are complete before the first of them pops, and no
+// pop of that key can offer another. Each pop certifies this with
+// d + wmin > d, wmin being the declared minimum weight (SetWeights,
+// SetMinWeight). The certificate fails on zero weights and where float
+// addition absorbs the smallest weight at large distances; the call then
+// restarts with every node queued — the historical exact traversal —
+// so the result is the same in every case.
 func (s *SSSPScratch) Tree(src NodeID, dsts []NodeID) {
-	ep, remaining := s.beginEpoch(dsts)
 	nodes := s.node
 	wSlot := s.wSlot
 	eids, tos, starts := s.csr.slotEid, s.csr.slotTo, s.csr.Start
+	pendant, wmin := s.csr.pendant, s.wmin
+	skip := wmin > 0 && s.csr.hasPendant
 
+restart:
+	ep, remaining := s.beginEpoch(dsts)
 	keep := uint32(0)
 	if st := nodes[src].stamp; st-ep < epochStride {
 		keep = st & fNeed
@@ -284,6 +389,7 @@ func (s *SSSPScratch) Tree(src NodeID, dsts []NodeID) {
 	nodes[src] = nodeState{dist: 0, pred: int32(unreachedPred), stamp: ep | fSeen | keep}
 
 	h := append(s.heap[:0], ssspItem{node: int32(src), dist: 0})
+pops:
 	for len(h) > 0 {
 		// Inline heapPop (hole sift-down of the former last entry). Indices
 		// are uint so the prover can drop the bounds checks.
@@ -328,6 +434,14 @@ func (s *SSSPScratch) Tree(src NodeID, dsts []NodeID) {
 		if su.stamp&fDone != 0 || d > su.dist {
 			continue
 		}
+		if skip && !(d+wmin > d) {
+			// No certificate: u's relaxations may not increase the
+			// distance, so rerun with every node queued.
+			s.heap = h[:0]
+			skip = false
+			s.restarts++
+			goto restart
+		}
 		su.stamp |= fDone
 		if su.stamp&fNeed != 0 {
 			remaining--
@@ -370,6 +484,17 @@ func (s *SSSPScratch) Tree(src NodeID, dsts []NodeID) {
 				st.dist = nd
 				st.pred = base + int32(k)
 			} else {
+				continue
+			}
+			if skip && pendant[v] {
+				// This was the pendant's only offer: final as it stands.
+				st.stamp |= fDone
+				if st.stamp&fNeed != 0 {
+					remaining--
+					if remaining == 0 {
+						break pops
+					}
+				}
 				continue
 			}
 			// Inline heapPush (hole sift-up).

@@ -16,11 +16,22 @@
 // Random-Schedule: the oracle runs over a flat CSR adjacency with
 // indexed []float64 edge weights and epoch-reset scratch (zero allocations
 // per Dijkstra tree after warm-up), paths are deduplicated by integer
-// interning instead of string keys, the exact line search probes only the
-// edges whose flow actually changes (with a closed-form step when the cost
-// restricted to the segment is quadratic), and a Solver can be reused
-// across related instances, optionally warm-starting each solve from a
+// interning instead of string keys, and a Solver can be reused across
+// related instances, optionally warm-starting each solve from a
 // neighbouring instance's path decomposition.
+//
+// An iteration costs the flow support plus the oracle's trees, not a sweep
+// of all edges. The solver keeps supp(x), the edges carrying flow, in
+// ascending edge id and merges it with the edges of each sweep's oracle
+// paths; the duality gap, the line search, the flow update and the weight
+// refresh run over that union, and the objective over supp(x). Every other
+// edge has zero flow in both points, so its terms are exact zeros and the
+// sums, kept in ascending edge order, are bit-identical to full sweeps.
+// Its weight is the zero-flow weight w(0), so the oracle's queue choice
+// and minimum weight need only w(0) and the support's weights (a
+// background load gives every edge its own weight and is scanned in
+// full). The minimum weight certifies the heap's pendant finalisation
+// (see graph.SSSPScratch.Tree).
 package mcfsolve
 
 import (
@@ -29,6 +40,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 
 	"dcnflow/internal/flow"
@@ -76,14 +88,6 @@ type Options struct {
 	// MinPathWeight prunes decomposition paths lighter than this fraction
 	// of the demand; default 1e-6.
 	MinPathWeight float64
-	// ClosedFormStep replaces the 50-probe bisection line search with the
-	// closed-form optimal step whenever the cost restricted to the search
-	// segment is an exact quadratic (alpha == 2, no envelope kink, capacity
-	// penalty inactive). The step agrees with the bisection result to its
-	// 2^-50 grid but is not bit-identical, so trajectories of
-	// iteration-capped solves can drift relative to the default; leave
-	// false for bit-reproducible results across releases.
-	ClosedFormStep bool
 	// OracleWorkers fans the per-source shortest-path runs of each
 	// Frank–Wolfe iteration across this many goroutines. 0 or 1 keeps the
 	// sweep sequential; a negative value means runtime.GOMAXPROCS(0).
@@ -160,9 +164,6 @@ type costModel struct {
 	// function calls. dK = alpha*mu, gMu = mu.
 	lin     bool
 	dK, gMu float64
-	// quad additionally enables the closed-form line-search step
-	// (Options.ClosedFormStep).
-	quad bool
 }
 
 func makeCost(m power.Model, opts Options) costModel {
@@ -180,7 +181,6 @@ func makeCost(m power.Model, opts Options) costModel {
 	cm.lin = m.Alpha == 2 && !(cm.useEnv && cm.rStar > 0)
 	cm.dK = m.Alpha * m.Mu
 	cm.gMu = m.Mu
-	cm.quad = cm.lin && opts.ClosedFormStep
 	return cm
 }
 
@@ -295,11 +295,19 @@ type Solver struct {
 	intern *graph.PathInterner
 	orc    *oracle
 
-	x       []float64 // current edge flow
-	xNew    []float64 // oracle direction point
-	support []int32   // line-search delta support (edge ids)
-	handles []graph.PathHandle
-	decomps []decomp
+	x    []float64 // current edge flow
+	xNew []float64 // oracle direction point; nonzero only on pathEdges
+	// Support bookkeeping of the sparse iteration, in ascending edge ids:
+	// supp(x), the edges of the latest oracle paths, and their union —
+	// every edge one iteration reads or writes.
+	supp      []int32
+	pathEdges []int32
+	touched   []int32
+	support   []int32   // line-search delta support (edge ids)
+	slotOf    []int32   // edge id -> oracle weight slot
+	wvals     []float64 // weight value set handed to the oracle
+	handles   []graph.PathHandle
+	decomps   []decomp
 
 	// base, when non-nil, is a fixed background load added to every edge
 	// before the cost and its derivative are evaluated (set by
@@ -352,6 +360,7 @@ func NewSolverCompiled(c *graph.Compiled, m power.Model, opts Options) (*Solver,
 		cost:     makeCost(m, opts),
 		intern:   intern,
 		orc:      newOracle(c, intern, workers),
+		slotOf:   c.Hot().SlotOf,
 		x:        make([]float64, nE),
 		xNew:     make([]float64, nE),
 	}, nil
@@ -458,20 +467,25 @@ func (s *Solver) SolveWarmCtx(ctx context.Context, commodities []Commodity, warm
 	}
 
 	x := s.x[:nE]
-	for i := range x {
-		x[i] = 0
+	clear(x)
+	// xNew is nonzero only on the previous solve's last oracle paths (a
+	// solve can end between filling and clearing it).
+	xNew := s.xNew[:nE]
+	for _, eid := range s.pathEdges {
+		xNew[eid] = 0
 	}
+	s.pathEdges = s.pathEdges[:0]
 
 	// Initial point: warm-started commodities reuse the neighbouring
 	// decomposition; the rest take hop-count shortest paths carrying full
 	// demand.
+	slotW := s.orc.slotWeights()
 	cold := s.seedWarm(commodities, warm)
 	if cold {
-		slotW := s.orc.slotWeights()
 		for i := range slotW {
 			slotW[i] = 1
 		}
-		if err := s.orc.shortestPaths(commodities, s.handles); err != nil {
+		if err := s.orc.shortestPaths(commodities, s.handles, unitWeight); err != nil {
 			return nil, err
 		}
 		for i := range commodities {
@@ -486,45 +500,25 @@ func (s *Solver) SolveWarmCtx(ctx context.Context, commodities []Commodity, warm
 		}
 	}
 
-	// The full-sweep loops below (objective, weights, gap) specialise the
-	// common linear-derivative case (alpha == 2, no envelope kink) so the
-	// cost evaluates inline; arithmetic and term order match the generic
-	// cost.val/cost.deriv calls exactly, keeping the sums bit-identical.
-	// With a background load (SolveBaseWarmCtx) every loop instead takes a
-	// dedicated offset branch, leaving the base-free paths byte-for-byte
-	// untouched; the objective is then the marginal cost over the base.
-	cost := &s.cost
-	base := s.base
-	lin, dK, gMu, pen, capC := cost.lin, cost.dK, cost.gMu, cost.pen, cost.c
-	objective := func(v []float64) float64 {
-		var sum float64
-		if base != nil {
-			for eid, xv := range v {
-				sum += cost.val(base[eid]+xv) - cost.val(base[eid])
-			}
-			return sum
+	// From here on an iteration touches only supp(x) and the oracle paths.
+	// Marginal-cost weights (the tiny hop bias keeps zero-gradient regions
+	// deterministic and hop-minimal) are a pure function of x[e] (and
+	// base[e]), so after this one full fill only edges whose flow changes
+	// need a refresh. Edges outside supp(x) ∪ paths have x = xNew = 0:
+	// their gap, objective, line-search and update terms are exact zeros,
+	// and every sum below runs in ascending edge order, so the sparse sums
+	// are bit-identical to full sweeps.
+	supp := s.supp[:0]
+	for eid, xv := range x {
+		if xv != 0 {
+			supp = append(supp, int32(eid))
 		}
-		if lin {
-			for _, xv := range v {
-				var cv float64
-				if xv > 0 {
-					cv = gMu * (xv * xv)
-				}
-				if pen > 0 && xv > capC {
-					d := xv - capC
-					cv += pen * d * d
-				}
-				sum += cv
-			}
-			return sum
-		}
-		for _, xv := range v {
-			sum += cost.val(xv)
-		}
-		return sum
 	}
+	for i, eid := range s.orc.slotEdges() {
+		slotW[i] = s.weight(int32(eid))
+	}
+	w0 := s.cost.deriv(0) + 1e-12 // the weight of every edge without flow
 
-	xNew := s.xNew[:nE]
 	var gap float64
 	iters := 0
 	for iters = 0; iters < s.opts.MaxIters; iters++ {
@@ -534,79 +528,47 @@ func (s *Solver) SolveWarmCtx(ctx context.Context, commodities []Commodity, warm
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("mcfsolve: solve interrupted at iteration %d: %w", iters, err)
 		}
-		// Marginal-cost weights (tiny hop bias keeps zero-gradient regions
-		// deterministic and hop-minimal), computed straight into the
-		// oracle's slot-ordered buffer: each edge owns exactly one
-		// adjacency slot, so the values match an edge-indexed fill
-		// bit-for-bit.
-		slotW := s.orc.slotWeights()
-		slotEdges := s.orc.slotEdges()
-		if base != nil {
-			for i, eid := range slotEdges {
-				slotW[i] = cost.deriv(base[eid]+x[eid]) + 1e-12
-			}
-		} else if lin {
-			for i, eid := range slotEdges {
-				xv := x[eid]
-				var d float64
-				if xv > 0 {
-					d = dK * xv
-				}
-				if pen > 0 && xv > capC {
-					d += 2 * pen * (xv - capC)
-				}
-				slotW[i] = d + 1e-12
-			}
-		} else {
-			for i, eid := range slotEdges {
-				slotW[i] = cost.deriv(x[eid]) + 1e-12
-			}
-		}
-		if err := s.orc.shortestPaths(commodities, s.handles); err != nil {
+		if err := s.orc.shortestPaths(commodities, s.handles, s.weightValues(supp, w0)); err != nil {
 			return nil, err
 		}
 		// Direction point: all demand on the oracle paths.
-		for i := range xNew {
-			xNew[i] = 0
+		for _, eid := range s.pathEdges {
+			xNew[eid] = 0
 		}
+		pe := s.pathEdges[:0]
 		for i := range commodities {
 			for _, eid := range s.intern.Edges(s.handles[i]) {
+				if xNew[eid] == 0 {
+					pe = append(pe, int32(eid))
+				}
 				xNew[eid] += commodities[i].Demand
 			}
 		}
+		slices.Sort(pe)
+		s.pathEdges = pe
+		touched := mergeUnion(s.touched[:0], supp, pe)
+		s.touched = touched
 		// Duality gap: grad(x) . (x - xHat).
 		gap = 0
-		if base != nil {
-			for eid := range x {
-				gap += cost.deriv(base[eid]+x[eid]) * (x[eid] - xNew[eid])
-			}
-		} else if lin {
-			for eid, xv := range x {
-				var d float64
-				if xv > 0 {
-					d = dK * xv
-				}
-				if pen > 0 && xv > capC {
-					d += 2 * pen * (xv - capC)
-				}
-				gap += d * (xv - xNew[eid])
-			}
-		} else {
-			for eid := range x {
-				gap += cost.deriv(x[eid]) * (x[eid] - xNew[eid])
-			}
+		for _, eid := range touched {
+			gap += s.deriv(eid) * (x[eid] - xNew[eid])
 		}
-		obj := objective(x)
+		obj := s.objective(supp)
 		if obj > 0 && gap/obj < s.opts.Tol {
 			break
 		}
 		// Exact line search on the convex 1-D restriction.
-		gamma := s.lineSearch(x, xNew)
+		gamma := s.lineSearch(x, xNew, touched)
 		if gamma <= 1e-12 {
 			break
 		}
-		for eid := range x {
+		supp = supp[:0]
+		for _, eid := range touched {
 			x[eid] = (1-gamma)*x[eid] + gamma*xNew[eid]
+			if x[eid] != 0 {
+				supp = append(supp, eid)
+			}
+			slotW[s.slotOf[eid]] = s.weight(eid)
 		}
 		// Fold the step into the path decomposition.
 		for i := range commodities {
@@ -617,15 +579,91 @@ func (s *Solver) SolveWarmCtx(ctx context.Context, commodities []Commodity, warm
 			d.add(s.handles[i], gamma*commodities[i].Demand)
 		}
 	}
+	s.supp = supp
 
 	copy(res.EdgeFlow, x)
-	res.Objective = objective(x)
+	res.Objective = s.objective(supp)
 	res.Gap = gap
 	res.Iters = iters
 	for i := range commodities {
 		res.PathsByCommodity[i] = s.emit(&s.decomps[i], commodities[i].Demand)
 	}
 	return res, nil
+}
+
+// unitWeight is the weight value set of the cold-start hop-count sweep.
+var unitWeight = []float64{1}
+
+// deriv is the marginal cost of edge eid at its current flow, on top of the
+// background load when there is one.
+func (s *Solver) deriv(eid int32) float64 {
+	if s.base != nil {
+		return s.cost.deriv(s.base[eid] + s.x[eid])
+	}
+	return s.cost.deriv(s.x[eid])
+}
+
+// weight is edge eid's oracle weight: its marginal cost plus the hop bias.
+func (s *Solver) weight(eid int32) float64 { return s.deriv(eid) + 1e-12 }
+
+// objective sums the cost of x over its support supp (ascending); with a
+// background load it is the marginal cost over the base. Edges without
+// flow contribute exact zeros either way.
+func (s *Solver) objective(supp []int32) float64 {
+	var sum float64
+	for _, eid := range supp {
+		xv := s.x[eid]
+		if s.base != nil {
+			sum += s.cost.val(s.base[eid]+xv) - s.cost.val(s.base[eid])
+		} else {
+			sum += s.cost.val(xv)
+		}
+	}
+	return sum
+}
+
+// weightValues returns a set holding every distinct value of the slot
+// weights, which is all the oracle's dial quantization test and minimum
+// weight depend on. Without a background load, every edge outside supp
+// weighs w0, so w0 (when such an edge exists) plus the support's weights
+// suffice; a background load gives every edge its own weight, and the
+// whole slot buffer is returned.
+func (s *Solver) weightValues(supp []int32, w0 float64) []float64 {
+	slotW := s.orc.slotWeights()
+	if s.base != nil {
+		return slotW
+	}
+	vals := s.wvals[:0]
+	if len(supp) < len(s.x) {
+		vals = append(vals, w0)
+	}
+	for _, eid := range supp {
+		vals = append(vals, slotW[s.slotOf[eid]])
+	}
+	s.wvals = vals
+	return vals
+}
+
+// mergeUnion appends the sorted union of the ascending, duplicate-free
+// lists a and b to dst.
+func mergeUnion(dst, a, b []int32) []int32 {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			dst = append(dst, a[i])
+			i++
+		case a[i] > b[j]:
+			dst = append(dst, b[j])
+			j++
+		default:
+			dst = append(dst, a[i])
+			i++
+			j++
+		}
+	}
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...)
 }
 
 // seedWarm installs warm-start decompositions for every matchable commodity
@@ -723,19 +761,19 @@ func (s *Solver) emit(d *decomp, demand float64) []WeightedPath {
 
 // lineSearch minimises phi(gamma) = sum_e cost((1-gamma) x + gamma xHat)
 // over [0, 1]. Only edges with x != xHat contribute to phi', so the search
-// first collects that delta support and then either applies the closed-form
-// step (quadratic costs: the derivative is linear in gamma) or bisects the
-// monotone derivative over the support.
-func (s *Solver) lineSearch(x, xHat []float64) float64 {
+// first collects that delta support from the candidate edges cand (every
+// edge where x or xHat is nonzero, ascending) and then bisects the
+// monotone derivative over it.
+func (s *Solver) lineSearch(x, xHat []float64, cand []int32) float64 {
 	cost := &s.cost
 	base := s.base
 	support := s.support[:0]
 	// penActive: the capacity penalty kicks in somewhere on the segment
 	// for some support edge, so the restriction picks up extra kinks.
 	penActive := false
-	for eid := range x {
+	for _, eid := range cand {
 		if x[eid] != xHat[eid] {
-			support = append(support, int32(eid))
+			support = append(support, eid)
 			if cost.pen > 0 && (x[eid] > cost.c || xHat[eid] > cost.c) {
 				penActive = true
 			}
@@ -746,9 +784,8 @@ func (s *Solver) lineSearch(x, xHat []float64) float64 {
 		return 0
 	}
 	// A background load shifts the operating point, so the specialised
-	// probe loops (which assume the raw flow is the cost argument) are
+	// probe loop (which assumes the raw flow is the cost argument) is
 	// disabled; the generic offset branch evaluates the full derivative.
-	quadOK := cost.quad && !penActive && base == nil
 	// The probe loop is the line search's hot spot; specialise the common
 	// linear-derivative case (alpha == 2, penalty inactive on the whole
 	// segment: every probe point v lies between x and xHat, hence below c)
@@ -789,10 +826,6 @@ func (s *Solver) lineSearch(x, xHat []float64) float64 {
 	phi1 := phiDeriv(1)
 	if phi1 <= 0 {
 		return 1
-	}
-	if quadOK {
-		// phi' is linear in gamma: its root is where the chord crosses zero.
-		return phi0 / (phi0 - phi1)
 	}
 	lo, hi := 0.0, 1.0
 	for i := 0; i < 50; i++ {

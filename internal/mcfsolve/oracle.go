@@ -2,6 +2,7 @@ package mcfsolve
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -31,6 +32,7 @@ type oracle struct {
 	hot      *graph.CSR // renumbered view; all trees run in hot node space
 	compiled *graph.Compiled
 	sssp     *graph.SSSPScratch
+	w        []float64 // sssp's slot-ordered weight buffer
 	intern   *graph.PathInterner
 	workers  int
 
@@ -68,10 +70,12 @@ func newOracle(c *graph.Compiled, intern *graph.PathInterner, workers int) *orac
 		workers = 1
 	}
 	hot := c.Hot()
+	sssp := graph.NewSSSPScratch(hot)
 	return &oracle{
 		hot:      hot,
 		compiled: c,
-		sssp:     graph.NewSSSPScratch(hot),
+		sssp:     sssp,
+		w:        sssp.SlotWeights(),
 		intern:   intern,
 		workers:  workers,
 	}
@@ -143,7 +147,7 @@ func (o *oracle) bind(commodities []Commodity) {
 
 // slotWeights exposes the slot-ordered weight buffer (slot i carries edge
 // slotEdges()[i]); callers fill it before shortestPaths.
-func (o *oracle) slotWeights() []float64 { return o.sssp.SlotWeights() }
+func (o *oracle) slotWeights() []float64 { return o.w }
 
 // slotEdges returns the (original) edge id carried by each weight slot, in
 // the hot view's slot order. The Frank–Wolfe weight fill iterates this in
@@ -165,12 +169,22 @@ func (o *oracle) tree(s *graph.SSSPScratch, gi int, quantum float64, span int, d
 // shortestPaths computes one weighted shortest path per bound commodity
 // under the weights previously written into slotWeights and stores its
 // interned handle in out (input order preserved). out must have
-// len(commodities).
-func (o *oracle) shortestPaths(commodities []Commodity, out []graph.PathHandle) error {
+// len(commodities). wvals must hold every distinct value of the slot
+// weights (duplicates are harmless): the sweep reads only it to choose
+// the queue and to declare the minimum weight Tree certifies against, so
+// callers that know the weights' value set skip a full scan.
+func (o *oracle) shortestPaths(commodities []Commodity, out []graph.PathHandle, wvals []float64) error {
+	wmin := math.Inf(1)
+	for _, w := range wvals {
+		if w < wmin || w != w {
+			wmin = w // a NaN sticks and switches pendant finalisation off
+		}
+	}
+	o.sssp.SetMinWeight(wmin)
 	// Probe the frozen weights once per sweep: hop-count cold starts (all
 	// ones) select the O(E) dial queue, the marginal-cost weights of warm
 	// Frank–Wolfe iterations fall back to the heap.
-	quantum, span, dial := graph.QuantizeWeights(o.sssp.SlotWeights(), graph.MaxDialSpan)
+	quantum, span, dial := graph.QuantizeWeights(wvals, graph.MaxDialSpan)
 	if o.workers <= 1 || len(o.srcs) < 2 {
 		return o.shortestPathsSeq(commodities, out, quantum, span, dial)
 	}

@@ -500,14 +500,12 @@ func (s *Solver) SolveWarmCtx(ctx context.Context, commodities []Commodity, warm
 		}
 	}
 
-	// From here on an iteration touches only supp(x) and the oracle paths.
+	// From here on an iteration touches only supp(x) and the oracle paths
+	// (see the package comment for why the sparse sums are bit-identical).
 	// Marginal-cost weights (the tiny hop bias keeps zero-gradient regions
 	// deterministic and hop-minimal) are a pure function of x[e] (and
 	// base[e]), so after this one full fill only edges whose flow changes
-	// need a refresh. Edges outside supp(x) ∪ paths have x = xNew = 0:
-	// their gap, objective, line-search and update terms are exact zeros,
-	// and every sum below runs in ascending edge order, so the sparse sums
-	// are bit-identical to full sweeps.
+	// need a refresh.
 	supp := s.supp[:0]
 	for eid, xv := range x {
 		if xv != 0 {
